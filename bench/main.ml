@@ -158,10 +158,13 @@ let bench_layered_second =
     Netsim.Engine.run ~until:!now e
 
 (* One datagram through the real-time loopback fabric: Env.send ->
-   codec encode (+pad to packet size) -> impairment shim -> wheel timer
-   -> decode -> deliver hook.  The rt counterpart of "trace: tx+deliver
-   event pair"; the pair bounds the per-packet overhead of running
-   TFMCC over the runtime instead of the simulator. *)
+   codec encode (+pad to packet size) -> decode -> impairment shim ->
+   timer-heap delivery timer -> deliver hook.  The rt counterpart of
+   "trace: tx+deliver event pair"; the pair bounds the per-packet
+   overhead of running TFMCC over the runtime instead of the simulator.
+   The loop's timer heap holds one entry here, so this is the cost of a
+   frame, not of scanning an idle timer structure for the next
+   deadline. *)
 let bench_rt_frame_pair =
   let loop = Rt.Loop.create () in
   let net = Rt.Net.create loop () in

@@ -4,7 +4,7 @@ type mode = Turbo | Realtime
 
 type t = {
   mode : mode;
-  wheel : Wheel.t;
+  timers : Timer_heap.t;
   mutable vnow : float; (* turbo clock; realtime: last sampled value *)
   mutable clock : unit -> float; (* realtime monotonic clock *)
   obs : Obs.Sink.t;
@@ -39,7 +39,7 @@ let create ?(mode = Turbo) ?(epoch = 0.) ?obs ?(seed = 42)
   let t =
     {
       mode;
-      wheel = Wheel.create ~start:epoch ();
+      timers = Timer_heap.create ();
       vnow = epoch;
       clock = (fun () -> epoch);
       obs;
@@ -77,7 +77,8 @@ let obs t = t.obs
 
 let split_rng t = Stats.Rng.split t.rng
 
-let timer_of e = { Tfmcc_core.Env.cancel = (fun () -> Wheel.cancel e) }
+let timer_of t e =
+  { Tfmcc_core.Env.cancel = (fun () -> Timer_heap.cancel t.timers e) }
 
 (* The handler is consulted at fire time, not schedule time: installing
    it after timers are queued still protects them.  The metric is
@@ -108,7 +109,7 @@ let after t ~delay fn =
       0.
     end
   in
-  timer_of (Wheel.schedule t.wheel ~at:(now t +. delay) (protect t fn))
+  timer_of t (Timer_heap.schedule t.timers ~at:(now t +. delay) (protect t fn))
 
 let at t ~time fn =
   let time =
@@ -118,12 +119,12 @@ let at t ~time fn =
       now t
     end
   in
-  timer_of (Wheel.schedule t.wheel ~at:time (protect t fn))
+  timer_of t (Timer_heap.schedule t.timers ~at:time (protect t fn))
 
 (* Self-rescheduling periodic timer.  The chain survives a callback
    exception when an exn handler is installed ([protect] runs inside the
    scheduled closure, after the next occurrence is queued), and cancel
-   works mid-chain: the [cancelled] flag mutes whichever wheel entry is
+   works mid-chain: the [cancelled] flag mutes whichever heap entry is
    current. *)
 let every t ~interval fn =
   if not (Float.is_finite interval && interval > 0.) then
@@ -132,7 +133,7 @@ let every t ~interval fn =
   let cur = ref None in
   let rec arm ~time =
     let e =
-      Wheel.schedule t.wheel ~at:time (fun () ->
+      Timer_heap.schedule t.timers ~at:time (fun () ->
           if not !cancelled then begin
             arm ~time:(time +. interval);
             protect t fn ()
@@ -145,7 +146,7 @@ let every t ~interval fn =
     Tfmcc_core.Env.cancel =
       (fun () ->
         cancelled := true;
-        match !cur with None -> () | Some e -> Wheel.cancel e);
+        match !cur with None -> () | Some e -> Timer_heap.cancel t.timers e);
   }
 
 let watch_fd t fd cb = t.fds <- (fd, cb) :: List.remove_assoc fd t.fds
@@ -157,7 +158,7 @@ let stop t = t.running <- false
 let run_turbo ?until t =
   let continue_ = ref true in
   while !continue_ && t.running do
-    match Wheel.next_due t.wheel with
+    match Timer_heap.next_due t.timers with
     | None ->
         (match until with Some u -> t.vnow <- max t.vnow u | None -> ());
         continue_ := false
@@ -168,7 +169,7 @@ let run_turbo ?until t =
             continue_ := false
         | _ ->
             t.vnow <- max t.vnow due;
-            ignore (Wheel.advance t.wheel ~now:t.vnow ()))
+            ignore (Timer_heap.advance t.timers ~now:t.vnow ()))
   done
 
 let run_realtime ?until t =
@@ -179,8 +180,8 @@ let run_realtime ?until t =
     let nw = now t in
     if nw >= stop_at then continue_ := false
     else begin
-      ignore (Wheel.advance t.wheel ~now:nw ~late ());
-      match (Wheel.next_due t.wheel, t.fds) with
+      ignore (Timer_heap.advance t.timers ~now:nw ~late ());
+      match (Timer_heap.next_due t.timers, t.fds) with
       | None, [] -> continue_ := false
       | next, fds -> (
           let target =
@@ -213,8 +214,8 @@ let run ?until t =
 
 let run_for t ~duration = run ~until:(now t +. duration) t
 
-let timers_fired t = Wheel.fired t.wheel
+let timers_fired t = Timer_heap.fired t.timers
 
-let timers_pending t = Wheel.pending t.wheel
+let timers_pending t = Timer_heap.pending t.timers
 
 let clock_anomalies t = t.anomalies

@@ -164,18 +164,21 @@ let leave ep =
   | None -> ()
   | Some g -> Hashtbl.remove g ep.ep_id
 
-let deliver_frame t dst frame =
+(* [decoded] is the frame's one decode, shared by every destination of
+   the send; a bad frame still counts one decode error per destination,
+   as it would if each had decoded its own copy. *)
+let deliver_frame t dst ~size decoded =
   match Hashtbl.find_opt t.endpoints dst with
   | None -> ()
   | Some ep -> (
       match ep.deliver with
       | None -> ()
       | Some f -> (
-          match Wire.decode frame with
+          match decoded with
           | Ok msg ->
               t.delivered <- t.delivered + 1;
               Obs.Metrics.Counter.inc t.m_delivered;
-              f ~size:(Bytes.length frame) msg
+              f ~size msg
           | Error _ ->
               t.dec_errors <- t.dec_errors + 1;
               Obs.Metrics.Counter.inc t.m_dec))
@@ -185,11 +188,13 @@ let send ep ~dest ~flow:_ ~size msg =
   (* Encode straight into the final padded datagram: data frames ride
      datagrams of the configured packet size with the codec header as a
      prefix (decode ignores the tail), report frames are never padded —
-     their wire size is exact.  One allocation per frame, no
-     encode-then-pad blit.  The buffer cannot be a reusable scratch
-     here: it is captured by the delivery timer closure (shared by every
-     multicast destination) and must stay immutable until the last
-     in-flight copy lands. *)
+     their wire size is exact.  The frame is decoded once, right here,
+     and every destination's delivery timer shares the resulting
+     immutable [Wire.msg] (as the simulator shares its payloads), so the
+     buffer is dead as soon as [send] returns.  It is still a fresh
+     buffer rather than a reusable scratch one because its length is
+     the datagram's wire size, which both decode checks and the
+     receiver's byte accounting read. *)
   let enc_len =
     match msg with
     | Wire.Report _ -> Wire.encoded_report_size
@@ -207,6 +212,8 @@ let send ep ~dest ~flow:_ ~size msg =
       t.enc_drops <- t.enc_drops + 1;
       Obs.Metrics.Counter.inc t.m_enc
   | (_ : int) ->
+      let wire_size = Bytes.length frame in
+      let decoded = Wire.decode frame in
       let dests =
         match dest with
         | Env.To_node id -> if id = ep.ep_id then [] else [ id ]
@@ -255,7 +262,8 @@ let send ep ~dest ~flow:_ ~size msg =
             in
             Hashtbl.replace t.last_arrival key arrival;
             ignore
-              (Loop.at t.loop ~time:arrival (fun () -> deliver_frame t dst frame))
+              (Loop.at t.loop ~time:arrival (fun () ->
+                   deliver_frame t dst ~size:wire_size decoded))
           end)
         dests
 

@@ -2,10 +2,11 @@
 
     The scalable transport for the real-time runtime: endpoints exchange
     real codec frames ({!Tfmcc_core.Wire.encode_report} /
-    [encode_data] on send, {!Tfmcc_core.Wire.decode} on receive) over
-    an in-memory switch instead of kernel sockets, so one process can
-    carry thousands of concurrent sessions without file-descriptor
-    limits (see {!Udp} for the socket-backed sibling).  Multicast is
+    [encode_data], then one {!Tfmcc_core.Wire.decode} per send whose
+    immutable message every destination shares) over an in-memory
+    switch instead of kernel sockets, so one process can carry
+    thousands of concurrent sessions without file-descriptor limits
+    (see {!Udp} for the socket-backed sibling).  Multicast is
     modelled as per-session group membership: [To_group] fans a frame
     out to every joined member except the sender, [To_node] unicasts.
 
@@ -16,8 +17,8 @@
 
     Frames that fail to encode (non-finite field escaping the protocol
     core) are dropped and counted under [tfmcc_rt_frame_drop_total
-    {reason="encode"}] rather than crashing the loop; undecodable
-    frames count [reason="decode"].
+    {reason="encode"}] rather than crashing the loop; an undecodable
+    frame counts [reason="decode"] once per destination it reaches.
 
     The fabric also exposes chaos hooks (driven by {!Chaos} plans,
     DESIGN.md §15): the whole fabric can flap down/up, individual
@@ -131,6 +132,8 @@ val frames_lost : t -> int
 val encode_drops : t -> int
 
 val decode_errors : t -> int
+(** Deliveries dropped because the frame did not decode, counted per
+    destination. *)
 
 val partition_drops : t -> int
 (** Frames dropped because an endpoint on the path was blocked. *)

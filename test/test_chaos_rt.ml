@@ -303,7 +303,7 @@ let test_clr_partition_mid_slowstart_rt () =
    sessions are fully independent, so the *unaffected* sessions of a
    chaos run must match a clean run bit for bit.  The rate cap stands
    in for link capacity — without loss the fabric never ends slowstart,
-   and an uncapped doubling rate would flood the wheel. *)
+   and an uncapped doubling rate would flood the timer heap. *)
 let iso_config =
   {
     Harness.default with

@@ -1,4 +1,4 @@
-(* Real-time runtime tests: timer-wheel semantics, loop clock hardening,
+(* Real-time runtime tests: timer-heap semantics, loop clock hardening,
    the time-translation-invariance property (ISSUE 7 satellite: shifting
    the epoch by +1e9 s must not change rate decisions), and loopback/UDP
    transport smokes. *)
@@ -8,96 +8,304 @@ open Rt
 let cfg = Tfmcc_core.Config.default
 
 (* ------------------------------------------------------------------ *)
-(* Timer wheel                                                         *)
+(* Timer heap                                                          *)
 (* ------------------------------------------------------------------ *)
+
+(* The alcotest group is still called "wheel" and keeps the case names
+   it had when these cases exercised the hashed timer wheel that
+   Timer_heap replaced, so the test ids stay stable across the port. *)
 
 (* Callbacks fire in nondecreasing deadline order; ties break by
    insertion sequence. *)
-let test_wheel_order () =
-  let w = Wheel.create ~start:0. () in
+let test_heap_order () =
+  let h = Timer_heap.create () in
   let fired = ref [] in
-  let add tag at = ignore (Wheel.schedule w ~at (fun () -> fired := tag :: !fired)) in
+  let add tag at =
+    ignore (Timer_heap.schedule h ~at (fun () -> fired := tag :: !fired))
+  in
   add "c" 0.030;
   add "a" 0.010;
   add "tie1" 0.020;
   add "tie2" 0.020;
   add "b" 0.015;
-  Alcotest.(check int) "pending" 5 (Wheel.pending w);
-  let n = Wheel.advance w ~now:1.0 () in
+  Alcotest.(check int) "pending" 5 (Timer_heap.pending h);
+  let n = Timer_heap.advance h ~now:1.0 () in
   Alcotest.(check int) "fired count" 5 n;
   Alcotest.(check (list string))
     "deadline order, ties by insertion"
     [ "a"; "b"; "tie1"; "tie2"; "c" ]
     (List.rev !fired);
-  Alcotest.(check int) "none left" 0 (Wheel.pending w)
+  Alcotest.(check int) "none left" 0 (Timer_heap.pending h)
 
-let test_wheel_cancel () =
-  let w = Wheel.create ~start:0. () in
+let test_heap_cancel () =
+  let h = Timer_heap.create () in
   let hits = ref 0 in
-  let t1 = Wheel.schedule w ~at:0.01 (fun () -> incr hits) in
-  let t2 = Wheel.schedule w ~at:0.02 (fun () -> incr hits) in
-  Wheel.cancel t1;
-  Wheel.cancel t1 (* idempotent *);
-  ignore (Wheel.advance w ~now:0.05 ());
+  let t1 = Timer_heap.schedule h ~at:0.01 (fun () -> incr hits) in
+  let t2 = Timer_heap.schedule h ~at:0.02 (fun () -> incr hits) in
+  Timer_heap.cancel h t1;
+  Timer_heap.cancel h t1 (* idempotent *);
+  Alcotest.(check int) "live count after cancel" 1 (Timer_heap.pending h);
+  ignore (Timer_heap.advance h ~now:0.05 ());
   Alcotest.(check int) "only t2 fired" 1 !hits;
-  Wheel.cancel t2 (* after fire: no-op *);
-  Alcotest.(check int) "fired total" 1 (Wheel.fired w)
+  Timer_heap.cancel h t2 (* after fire: no-op *);
+  Alcotest.(check int) "fired total" 1 (Timer_heap.fired h);
+  Alcotest.(check int) "live count not disturbed" 0 (Timer_heap.pending h)
 
-(* Deadlines beyond the wheel horizon (~4 s at defaults) wait in the
-   overflow heap and migrate in as the cursor approaches. *)
-let test_wheel_overflow_migration () =
-  let w = Wheel.create ~start:0. () in
+(* Far deadlines (seconds to minutes out) order with near ones; there is
+   no horizon to migrate across. *)
+let test_heap_far_deadlines () =
+  let h = Timer_heap.create () in
   let fired = ref [] in
-  let add tag at = ignore (Wheel.schedule w ~at (fun () -> fired := tag :: !fired)) in
+  let add tag at =
+    ignore (Timer_heap.schedule h ~at (fun () -> fired := tag :: !fired))
+  in
   add "far" 10.0;
   add "farther" 100.0;
   add "near" 0.5;
-  Alcotest.(check (option (float 1e-9))) "next_due is near" (Some 0.5) (Wheel.next_due w);
-  ignore (Wheel.advance w ~now:1.0 ());
-  Alcotest.(check (option (float 1e-9))) "then far" (Some 10.0) (Wheel.next_due w);
-  ignore (Wheel.advance w ~now:50.0 ());
-  ignore (Wheel.advance w ~now:200.0 ());
+  Alcotest.(check (option (float 1e-9))) "next_due is near" (Some 0.5)
+    (Timer_heap.next_due h);
+  ignore (Timer_heap.advance h ~now:1.0 ());
+  Alcotest.(check (option (float 1e-9))) "then far" (Some 10.0)
+    (Timer_heap.next_due h);
+  ignore (Timer_heap.advance h ~now:50.0 ());
+  ignore (Timer_heap.advance h ~now:200.0 ());
   Alcotest.(check (list string)) "all fired in order" [ "near"; "far"; "farther" ]
     (List.rev !fired);
-  Alcotest.(check (option (float 1e-9))) "empty" None (Wheel.next_due w)
+  Alcotest.(check (option (float 1e-9))) "empty" None (Timer_heap.next_due h)
 
-(* A cancelled overflow entry must not resurface as next_due. *)
-let test_wheel_cancel_overflow () =
-  let w = Wheel.create ~start:0. () in
-  let t = Wheel.schedule w ~at:10.0 (fun () -> Alcotest.fail "cancelled timer fired") in
-  ignore (Wheel.schedule w ~at:20.0 (fun () -> ()));
-  Wheel.cancel t;
-  Alcotest.(check (option (float 1e-9))) "heap tombstone skipped" (Some 20.0)
-    (Wheel.next_due w);
-  ignore (Wheel.advance w ~now:30.0 ());
-  Alcotest.(check int) "one fired" 1 (Wheel.fired w)
+(* A cancelled far entry must not resurface as next_due. *)
+let test_heap_cancel_far () =
+  let h = Timer_heap.create () in
+  let t =
+    Timer_heap.schedule h ~at:10.0 (fun () -> Alcotest.fail "cancelled timer fired")
+  in
+  ignore (Timer_heap.schedule h ~at:20.0 (fun () -> ()));
+  Timer_heap.cancel h t;
+  Alcotest.(check (option (float 1e-9))) "tombstone skipped" (Some 20.0)
+    (Timer_heap.next_due h);
+  ignore (Timer_heap.advance h ~now:30.0 ());
+  Alcotest.(check int) "one fired" 1 (Timer_heap.fired h)
 
 (* Callbacks scheduling already-due timers: the chain fires within the
-   same advance, after the batch that spawned it. *)
-let test_wheel_zero_delay_chain () =
-  let w = Wheel.create ~start:0. () in
+   same advance. *)
+let test_heap_zero_delay_chain () =
+  let h = Timer_heap.create () in
   let depth = ref 0 in
   let rec chain n () =
     depth := n;
-    if n < 5 then ignore (Wheel.schedule w ~at:0.01 (chain (n + 1)))
+    if n < 5 then ignore (Timer_heap.schedule h ~at:0.01 (chain (n + 1)))
   in
-  ignore (Wheel.schedule w ~at:0.01 (chain 1));
-  let n = Wheel.advance w ~now:0.01 () in
+  ignore (Timer_heap.schedule h ~at:0.01 (chain 1));
+  let n = Timer_heap.advance h ~now:0.01 () in
   Alcotest.(check int) "whole chain fired in one advance" 5 n;
   Alcotest.(check int) "chain depth" 5 !depth
 
+(* An endless zero-delay chain fails loudly instead of hanging. *)
+let test_heap_runaway_chain () =
+  let h = Timer_heap.create () in
+  let rec forever () = ignore (Timer_heap.schedule h ~at:0.01 forever) in
+  ignore (Timer_heap.schedule h ~at:0.01 forever);
+  Alcotest.check_raises "runaway chain"
+    (Failure "Timer_heap.advance: runaway zero-delay timer chain") (fun () ->
+      ignore (Timer_heap.advance h ~now:0.01 ()))
+
 (* Deadlines already in the past fire on the next advance. *)
-let test_wheel_past_deadline () =
-  let w = Wheel.create ~start:100. () in
+let test_heap_past_deadline () =
+  let h = Timer_heap.create () in
+  ignore (Timer_heap.advance h ~now:100.0 ());
   let hit = ref false in
-  ignore (Wheel.schedule w ~at:1.0 (fun () -> hit := true));
-  ignore (Wheel.advance w ~now:100.0 ());
+  ignore (Timer_heap.schedule h ~at:1.0 (fun () -> hit := true));
+  ignore (Timer_heap.advance h ~now:100.0 ());
   Alcotest.(check bool) "past deadline fired" true !hit
 
-let test_wheel_nan_deadline_rejected () =
-  let w = Wheel.create ~start:0. () in
-  Alcotest.check_raises "NaN deadline" (Invalid_argument "Wheel.schedule: NaN deadline")
-    (fun () -> ignore (Wheel.schedule w ~at:Float.nan (fun () -> ())))
+let test_heap_nan_deadline_rejected () =
+  let h = Timer_heap.create () in
+  Alcotest.check_raises "NaN deadline"
+    (Invalid_argument "Timer_heap.schedule: NaN deadline") (fun () ->
+      ignore (Timer_heap.schedule h ~at:Float.nan (fun () -> ())))
+
+(* Regression: A cancels B, and both are due in the same advance.  B
+   must not fire or be counted — neither when B is due later than A
+   nor on an exact tie broken by insertion order. *)
+let test_heap_cancel_within_advance () =
+  let case name ~a ~b =
+    let h = Timer_heap.create () in
+    let b_fired = ref false in
+    let tb = ref None in
+    ignore
+      (Timer_heap.schedule h ~at:a (fun () ->
+           Option.iter (Timer_heap.cancel h) !tb));
+    tb := Some (Timer_heap.schedule h ~at:b (fun () -> b_fired := true));
+    let n = Timer_heap.advance h ~now:0.011 () in
+    Alcotest.(check bool) (name ^ ": B did not fire") false !b_fired;
+    Alcotest.(check int) (name ^ ": only A fired") 1 n;
+    Alcotest.(check int) (name ^ ": fired total") 1 (Timer_heap.fired h);
+    Alcotest.(check int) (name ^ ": nothing pending") 0 (Timer_heap.pending h)
+  in
+  case "later deadline" ~a:0.0101 ~b:0.0105;
+  case "exact tie" ~a:0.01 ~b:0.01
+
+(* Regression: an exception escaping one callback leaves its due
+   siblings pending (and counted); the next advance fires them. *)
+let test_heap_exception_keeps_siblings () =
+  let h = Timer_heap.create () in
+  let sibling = ref 0 in
+  ignore (Timer_heap.schedule h ~at:0.01 (fun () -> failwith "boom"));
+  ignore (Timer_heap.schedule h ~at:0.01 (fun () -> incr sibling));
+  ignore (Timer_heap.schedule h ~at:0.012 (fun () -> incr sibling));
+  Alcotest.check_raises "exception propagates" (Failure "boom") (fun () ->
+      ignore (Timer_heap.advance h ~now:0.02 ()));
+  Alcotest.(check int) "siblings not fired yet" 0 !sibling;
+  Alcotest.(check int) "siblings still pending" 2 (Timer_heap.pending h);
+  Alcotest.(check (option (float 1e-9))) "next_due is the tied sibling"
+    (Some 0.01) (Timer_heap.next_due h);
+  Alcotest.(check int) "next advance fires both" 2
+    (Timer_heap.advance h ~now:0.02 ());
+  Alcotest.(check int) "siblings fired" 2 !sibling
+
+(* QCheck axioms over random interleavings of schedule, cancel and
+   advance (deadlines on a 10 ms grid, so ties are common).  A timer
+   may carry a victim: when it fires it cancels that earlier timer.
+   The reference model fires, at each advance, the armed timer with the
+   least (deadline, seq) until none is due. *)
+type heap_op = Sched of int * int option | Cancel of int | Advance of int
+
+let heap_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (5, map2 (fun at v -> Sched (at, v)) (int_range 0 40) (opt (int_bound 1000)));
+        (2, map (fun i -> Cancel i) (int_bound 1000));
+        (2, map (fun d -> Advance d) (int_bound 8));
+      ])
+
+let pp_heap_op = function
+  | Sched (at, v) ->
+      Printf.sprintf "Sched(%d,%s)" at
+        (match v with None -> "-" | Some v -> string_of_int v)
+  | Cancel i -> Printf.sprintf "Cancel %d" i
+  | Advance d -> Printf.sprintf "Advance %d" d
+
+let heap_ops_arb =
+  QCheck.make ~print:QCheck.Print.(list pp_heap_op)
+    ~shrink:QCheck.Shrink.list
+    QCheck.Gen.(list_size (int_range 1 120) heap_op_gen)
+
+let prop_heap_axioms =
+  QCheck.Test.make ~name:"timer heap axioms vs reference model" ~count:300
+    heap_ops_arb (fun ops ->
+      let h = Timer_heap.create () in
+      (* Timer [i] has seq [i]: every schedule happens at top level. *)
+      let deadline = Hashtbl.create 64 and armed = Hashtbl.create 64 in
+      let victim = Hashtbl.create 64 and handle = Hashtbl.create 64 in
+      let n = ref 0 and now = ref 0. in
+      let log = ref [] in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      let check_state () =
+        let live = Hashtbl.fold (fun i () acc -> i :: acc) armed [] in
+        if Timer_heap.pending h <> List.length live then
+          fail "pending %d, model %d" (Timer_heap.pending h) (List.length live);
+        let min_due =
+          List.fold_left
+            (fun acc i ->
+              let d = Hashtbl.find deadline i in
+              match acc with Some m when m <= d -> acc | _ -> Some d)
+            None live
+        in
+        if Timer_heap.next_due h <> min_due then fail "next_due is not the live minimum"
+      in
+      let fire_cancel i =
+        match Hashtbl.find_opt victim i with
+        | Some v -> Hashtbl.remove armed v
+        | None -> ()
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | Sched (at, v) ->
+              let i = !n in
+              incr n;
+              let at = float_of_int at /. 100. in
+              Hashtbl.replace deadline i at;
+              Hashtbl.replace armed i ();
+              (match v with
+              | Some v when i > 0 -> Hashtbl.replace victim i (v mod i)
+              | _ -> ());
+              let fn () =
+                log := i :: !log;
+                match Hashtbl.find_opt victim i with
+                | Some v -> Timer_heap.cancel h (Hashtbl.find handle v)
+                | None -> ()
+              in
+              Hashtbl.replace handle i (Timer_heap.schedule h ~at fn)
+          | Cancel k when !n > 0 ->
+              let i = k mod !n in
+              Hashtbl.remove armed i;
+              Timer_heap.cancel h (Hashtbl.find handle i)
+          | Cancel _ -> ()
+          | Advance d ->
+              now := !now +. (float_of_int d /. 100.);
+              let rec expected acc =
+                let best =
+                  Hashtbl.fold
+                    (fun i () best ->
+                      let d = Hashtbl.find deadline i in
+                      if d > !now then best
+                      else
+                        match best with
+                        | Some (bd, bi) when bd < d || (bd = d && bi < i) -> best
+                        | _ -> Some (d, i))
+                    armed None
+                in
+                match best with
+                | None -> List.rev acc
+                | Some (_, i) ->
+                    Hashtbl.remove armed i;
+                    fire_cancel i;
+                    expected (i :: acc)
+              in
+              let want = expected [] in
+              log := [];
+              let fired = Timer_heap.advance h ~now:!now () in
+              let got = List.rev !log in
+              if got <> want then
+                fail "fired [%s], expected [%s]"
+                  (String.concat ";" (List.map string_of_int got))
+                  (String.concat ";" (List.map string_of_int want));
+              if fired <> List.length want then
+                fail "advance returned %d, fired %d" fired (List.length want));
+          check_state ())
+        ops;
+      true)
+
+(* Same schedule, same cancels: the rt heap pops in exactly the order of
+   the simulator's Netsim.Event_heap. *)
+let prop_heap_matches_event_heap =
+  QCheck.Test.make ~name:"timer heap pop order = Netsim.Event_heap's" ~count:300
+    QCheck.(list_of_size Gen.(int_range 0 200) (pair (int_bound 50) bool))
+    (fun sched ->
+      let h = Timer_heap.create () and eh = Netsim.Event_heap.create () in
+      let got = ref [] and want = ref [] in
+      List.iteri
+        (fun i (at, cancelled) ->
+          let at = float_of_int at /. 10. in
+          let t = Timer_heap.schedule h ~at (fun () -> got := i :: !got) in
+          let e = Netsim.Event_heap.add eh ~time:at (fun () -> want := i :: !want) in
+          if cancelled then begin
+            Timer_heap.cancel h t;
+            Netsim.Event_heap.cancel eh e
+          end)
+        sched;
+      ignore (Timer_heap.advance h ~now:infinity ());
+      let rec drain () =
+        match Netsim.Event_heap.pop eh with
+        | Some (_, f) ->
+            f ();
+            drain ()
+        | None -> ()
+      in
+      drain ();
+      !got = !want)
 
 (* ------------------------------------------------------------------ *)
 (* Turbo loop                                                          *)
@@ -116,7 +324,7 @@ let test_loop_turbo_until () =
   Alcotest.(check int) "one still pending" 1 (Loop.timers_pending loop)
 
 (* Non-finite / negative delays are clamped to zero and counted instead
-   of corrupting the wheel. *)
+   of corrupting the timer heap. *)
 let test_loop_bad_delay () =
   let loop = Loop.create () in
   let hits = ref 0 in
@@ -126,6 +334,21 @@ let test_loop_bad_delay () =
   Loop.run loop;
   Alcotest.(check int) "all clamped to immediate" 3 !hits;
   Alcotest.(check int) "anomalies counted" 3 (Loop.clock_anomalies loop)
+
+(* Without an exn handler an escaping exception tears down [run], but
+   the crashed timer's same-deadline sibling stays pending and fires on
+   the next run. *)
+let test_loop_exception_keeps_siblings () =
+  let loop = Loop.create () in
+  let sibling = ref false in
+  ignore (Loop.after loop ~delay:0.1 (fun () -> failwith "boom"));
+  ignore (Loop.after loop ~delay:0.1 (fun () -> sibling := true));
+  Alcotest.check_raises "exception propagates" (Failure "boom") (fun () ->
+      Loop.run loop);
+  Alcotest.(check int) "sibling still pending" 1 (Loop.timers_pending loop);
+  Loop.run loop;
+  Alcotest.(check bool) "sibling fired on the next run" true !sibling;
+  Alcotest.(check int) "both counted" 2 (Loop.timers_fired loop)
 
 (* ------------------------------------------------------------------ *)
 (* Clock hardening (ISSUE 7 satellite: non-monotonic now, late timers)  *)
@@ -390,19 +613,29 @@ let () =
     [
       ( "wheel",
         [
-          Alcotest.test_case "deadline order with ties" `Quick test_wheel_order;
-          Alcotest.test_case "cancel" `Quick test_wheel_cancel;
-          Alcotest.test_case "overflow migration" `Quick test_wheel_overflow_migration;
-          Alcotest.test_case "cancel in overflow" `Quick test_wheel_cancel_overflow;
-          Alcotest.test_case "zero-delay chain" `Quick test_wheel_zero_delay_chain;
-          Alcotest.test_case "past deadline" `Quick test_wheel_past_deadline;
+          Alcotest.test_case "deadline order with ties" `Quick test_heap_order;
+          Alcotest.test_case "cancel" `Quick test_heap_cancel;
+          Alcotest.test_case "overflow migration" `Quick test_heap_far_deadlines;
+          Alcotest.test_case "cancel in overflow" `Quick test_heap_cancel_far;
+          Alcotest.test_case "zero-delay chain" `Quick test_heap_zero_delay_chain;
+          Alcotest.test_case "runaway chain fails loudly" `Quick
+            test_heap_runaway_chain;
+          Alcotest.test_case "past deadline" `Quick test_heap_past_deadline;
           Alcotest.test_case "NaN deadline rejected" `Quick
-            test_wheel_nan_deadline_rejected;
+            test_heap_nan_deadline_rejected;
+          Alcotest.test_case "cancelled within the same advance" `Quick
+            test_heap_cancel_within_advance;
+          Alcotest.test_case "exception keeps siblings pending" `Quick
+            test_heap_exception_keeps_siblings;
+          QCheck_alcotest.to_alcotest prop_heap_axioms;
+          QCheck_alcotest.to_alcotest prop_heap_matches_event_heap;
         ] );
       ( "loop",
         [
           Alcotest.test_case "turbo run until" `Quick test_loop_turbo_until;
           Alcotest.test_case "bad delays clamped" `Quick test_loop_bad_delay;
+          Alcotest.test_case "exception keeps siblings pending" `Quick
+            test_loop_exception_keeps_siblings;
         ] );
       ( "clock hardening",
         [
