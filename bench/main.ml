@@ -268,14 +268,13 @@ let bench_rt_simulated_second_chaos =
 (* Allocation rate of the full stack, measured directly rather than via
    bechamel (we count words, not nanoseconds): minor-heap words allocated
    per simulated second of the same warmed-up star session as "full
-   stack: 1 simulated second".  This is the number the zero-alloc engine
-   work (packet arena, pooled events, batched dispatch) drives down;
-   wall-clock benchmarks alone can hide an allocation regression behind
-   CPU noise, and minor words are exactly reproducible. *)
+   stack: 1 simulated second".  Wall-clock benchmarks alone can hide an
+   allocation regression behind CPU noise, and minor words are exactly
+   reproducible. *)
 let measure_minor_words_per_simsec () =
   let step = simulated_second_session ~obs:Obs.Sink.null in
   (* One settling step so any remaining lazy initialization (table
-     growth, pool warm-up) lands outside the measured window. *)
+     growth) lands outside the measured window. *)
   step ();
   let w0 = Gc.minor_words () in
   for _ = 1 to 60 do

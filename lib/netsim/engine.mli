@@ -47,19 +47,16 @@ val after : t -> delay:float -> (unit -> unit) -> handle
 (** Schedules a callback [delay] seconds from now (delay ≥ 0). *)
 
 val after_unit : t -> delay:float -> (unit -> unit) -> unit
-(** Fire-and-forget {!after}: no handle (the event cannot be cancelled),
-    and the event record is recycled through the heap's freelist — zero
-    record allocation in the steady state.  Use whenever the handle
-    would be [ignore]d. *)
+(** Fire-and-forget {!after}: no handle is returned (the event cannot be
+    cancelled).  Use whenever the handle would be [ignore]d. *)
 
 val after_pkt : t -> delay:float -> (Packet.t -> unit) -> Packet.t -> unit
 (** Fire-and-forget packet event: applies the function to the packet
     after [delay].  With a preallocated per-object function this
-    schedules a delivery without allocating a per-packet closure; the
-    record is recycled like {!after_unit}'s. *)
+    schedules a delivery without allocating a per-packet closure. *)
 
 val at_unit : t -> time:float -> (unit -> unit) -> unit
-(** Fire-and-forget {!at} (same freelist recycling as {!after_unit}). *)
+(** Fire-and-forget {!at}, like {!after_unit}. *)
 
 val cancel : t -> handle -> unit
 
@@ -73,16 +70,19 @@ val every :
 val run : ?until:float -> t -> unit
 (** Processes events in time order until the queue empties, [until] is
     reached (events at t > until stay queued and [now] becomes [until]),
-    or {!stop} is called from inside a callback. *)
+    or {!stop} is called from inside a callback.  An exception raised by
+    a callback propagates; after it, as after {!stop}, every event not
+    yet fired stays queued and the next [run] fires them in order. *)
 
 val step : t -> bool
-(** Processes a single event; [false] when the queue is empty. *)
+(** Processes a single event; [false] when the queue is empty.  Shares
+    {!run}'s dispatch step: same order, accounting and watchdog tick. *)
 
 val stop : t -> unit
 (** Makes the innermost [run] return after the current callback. *)
 
 val set_watchdog : t -> ?every_events:int -> (unit -> unit) -> unit
-(** Installs a callback invoked from the event loops after every
+(** Installs a callback invoked from {!run} and {!step} after every
     [every_events] (default 4096, must be ≥ 1) processed events — the
     hook {!Watchdog} rides to detect stalls and enforce wall-clock
     deadlines.  The callback must be read-only with respect to

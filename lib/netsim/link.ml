@@ -107,8 +107,7 @@ let deliver t p =
     t.lost <- t.lost + 1;
     t.drop_loss_n <- t.drop_loss_n + 1;
     Obs.Metrics.Counter.inc t.cs.m_drop_loss;
-    trace t ~kind:`Drop_loss p;
-    Packet.release p
+    trace t ~kind:`Drop_loss p
   end
   else begin
     t.in_flight <- t.in_flight + 1;
@@ -184,8 +183,7 @@ let forward t (p : Packet.t) =
     t.lost <- t.lost + 1;
     t.drop_down_n <- t.drop_down_n + 1;
     Obs.Metrics.Counter.inc t.cs.m_drop_down;
-    trace t ~kind:`Drop_loss p;
-    Packet.release p
+    trace t ~kind:`Drop_loss p
   end
   else if p.hops > Packet.ttl_limit then begin
     (* A routing loop ate the packet: account for it like any other drop
@@ -194,21 +192,18 @@ let forward t (p : Packet.t) =
     t.drop_ttl_n <- t.drop_ttl_n + 1;
     Obs.Metrics.Counter.inc t.cs.m_drop_ttl;
     trace t ~kind:`Drop_ttl p;
-    Logs.warn (fun m -> m "Link: TTL exceeded, dropping %a" Packet.pp p);
-    Packet.release p
+    Logs.warn (fun m -> m "Link: TTL exceeded, dropping %a" Packet.pp p)
   end
   else if Link_table.busy t.tbl t.slot then begin
     if not (Queue_disc.enqueue t.queue p) then begin
       t.drop_queue_n <- t.drop_queue_n + 1;
       Obs.Metrics.Counter.inc t.cs.m_drop_queue;
-      trace t ~kind:`Drop_queue p;
-      Packet.release p
+      trace t ~kind:`Drop_queue p
     end
   end
   else transmit t p
 
 let send t (p : Packet.t) =
-  Packet.guard "Link.send" p;
   Packet.set_hops p (p.hops + 1);
   match t.fault with
   | None -> forward t p
@@ -219,17 +214,9 @@ let send t (p : Packet.t) =
           t.lost <- t.lost + 1;
           t.drop_fault_n <- t.drop_fault_n + 1;
           Obs.Metrics.Counter.inc t.cs.m_drop_loss;
-          trace t ~kind:`Drop_loss p;
-          Packet.release p
-      | `Replace p' ->
-          (* The injector handed back a different physical packet: the
-             original's arena slot is ours to recycle. *)
-          if p' != p then Packet.release p;
-          forward t p'
+          trace t ~kind:`Drop_loss p
+      | `Replace p' -> forward t p'
       | `Duplicate ->
-          (* Clone before forwarding: [forward] may drop-and-release [p]
-             (down link, TTL, full queue), after which it is not
-             clonable. *)
           let q = Packet.clone p in
           forward t p;
           forward t q

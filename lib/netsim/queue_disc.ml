@@ -147,8 +147,8 @@ let is_empty q = q.len = 0
 let dequeue_exn q =
   if q.len = 0 then invalid_arg "Queue_disc.dequeue_exn: empty queue";
   let p = Array.unsafe_get q.ring q.head in
-  (* Drop the slot's reference: the packet's arena slot must not be
-     pinned by the ring once it leaves the queue. *)
+  (* Drop the slot's reference so the ring does not keep a departed
+     packet alive. *)
   Array.unsafe_set q.ring q.head Packet.dummy;
   q.head <- (q.head + 1) land (Array.length q.ring - 1);
   q.len <- q.len - 1;

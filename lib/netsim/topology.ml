@@ -18,10 +18,6 @@ type t = {
   mutable hot_group : int;
   mutable hot_src : int;
   mutable hot_tree : Link.t list Int_tbl.t option;
-  (* Scratch for branch-point duplication ([forward_multicast]): clones
-     park here between the clone pass and the send pass, so fanning out
-     allocates no (link, packet) pair list per packet. *)
-  mutable mc_scratch : Packet.t array;
 }
 
 let create engine =
@@ -37,7 +33,6 @@ let create engine =
     hot_group = -1;
     hot_src = -1;
     hot_tree = None;
-    mc_scratch = Array.make 8 Packet.dummy;
   }
 
 let engine t = t.engine
@@ -171,65 +166,30 @@ let tree_children t ~group ~src_id node_id =
   | l -> l
   | exception Not_found -> []
 
-(* The two passes over a branch point's child list.  Top-level (not
-   closures) so the per-packet fan-out allocates nothing: clones park in
-   [mc_scratch] between the passes. *)
-let rec mc_clone_rest scratch p i = function
+(* Branch-point duplication: every child but the last is sent a clone,
+   the last gets [p] itself.  Each clone is taken before [p] is sent —
+   [Link.send] bumps [p]'s hop count — and the send order (tree order)
+   is part of the deterministic event ordering. *)
+let rec send_copies p = function
   | [] -> ()
-  | _ :: tl ->
-      Array.unsafe_set scratch i (Packet.clone p);
-      mc_clone_rest scratch p (i + 1) tl
-
-let rec mc_send_rest scratch i = function
-  | [] -> ()
-  | link :: tl ->
-      let q = Array.unsafe_get scratch i in
-      Array.unsafe_set scratch i Packet.dummy;
-      Link.send link q;
-      mc_send_rest scratch (i + 1) tl
-
-let rec list_length_at acc = function
-  | [] -> acc
-  | _ :: tl -> list_length_at (acc + 1) tl
+  | [ link ] -> Link.send link p
+  | link :: rest ->
+      Link.send link (Packet.clone p);
+      send_copies p rest
 
 let forward_multicast t ~at_id (p : Packet.t) ~group =
-  let links = tree_children t ~group ~src_id:p.src at_id in
-  match links with
-  | [] ->
-      (* Terminal point with no subscribers downstream: the packet's
-         journey ends here, recycle its arena slot. *)
-      Packet.release p
-  | [ link ] -> Link.send link p
-  | link0 :: rest ->
-      (* Branch point: duplicate for every child beyond the first.  All
-         clones are taken before any send — [Link.send] may drop and
-         release [p] (down link, TTL, full queue), after which it must
-         not be read again.  Send order (first child, then the rest in
-         tree order) is part of the deterministic event ordering. *)
-      let n = list_length_at 0 rest in
-      if n > Array.length t.mc_scratch then
-        t.mc_scratch <-
-          Array.make
-            (max n (2 * Array.length t.mc_scratch))
-            Packet.dummy;
-      let scratch = t.mc_scratch in
-      mc_clone_rest scratch p 0 rest;
-      Link.send link0 p;
-      mc_send_rest scratch 0 rest
+  send_copies p (tree_children t ~group ~src_id:p.src at_id)
 
 let route_from t node_obj (p : Packet.t) ~local =
   let here = Node.id node_obj in
   match p.dst with
   | Packet.Unicast d when d = here ->
-      if local then Node.deliver_local node_obj p;
-      (* Handlers only borrow during delivery; the journey ends here. *)
-      Packet.release p
+      if local then Node.deliver_local node_obj p
   | Packet.Unicast d -> (
       match next_link t ~from_id:here ~dst_id:d with
       | Some link -> Link.send link p
       | None ->
-          Logs.debug (fun m -> m "Topology: no route %d -> %d, dropping" here d);
-          Packet.release p)
+          Logs.debug (fun m -> m "Topology: no route %d -> %d, dropping" here d))
   | Packet.Multicast g ->
       if local && is_member t ~group:g node_obj then Node.deliver_local node_obj p;
       forward_multicast t ~at_id:here p ~group:g
@@ -304,7 +264,6 @@ let leave t ~group n =
       end
 
 let inject t (p : Packet.t) =
-  Packet.guard "Topology.inject" p;
   let origin = node t p.src in
   (* The origin never receives its own packet. *)
   route_from t origin p ~local:false

@@ -67,7 +67,7 @@ let gap t =
 
 let emit t =
   let p =
-    Packet.alloc ~flow:t.flow ~size:t.packet_size ~src:(Node.id t.src)
+    Packet.make ~flow:t.flow ~size:t.packet_size ~src:(Node.id t.src)
       ~dst:(Packet.Unicast (Node.id t.dst))
       ~created:(Engine.now t.engine) (Packet.Raw t.flow)
   in

@@ -48,7 +48,7 @@ let send_ack t ~ack_seq =
       }
   in
   let p =
-    Netsim.Packet.alloc ~flow:(-1) ~size:Wire.ack_size ~src:(node_id t)
+    Netsim.Packet.make ~flow:(-1) ~size:Wire.ack_size ~src:(node_id t)
       ~dst:(Netsim.Packet.Unicast (Netsim.Node.id t.sender))
       ~created:now payload
   in
@@ -69,7 +69,7 @@ let send_nak t ~lost_seq =
       }
   in
   let p =
-    Netsim.Packet.alloc ~flow:(-1) ~size:Wire.nak_size ~src:(node_id t)
+    Netsim.Packet.make ~flow:(-1) ~size:Wire.nak_size ~src:(node_id t)
       ~dst:(Netsim.Packet.Unicast (Netsim.Node.id t.sender))
       ~created:now payload
   in

@@ -71,7 +71,7 @@ let send_packet t =
     Wire.Data { session = t.session; seq = t.seq; ts = now; acker = t.acker; window = t.window }
   in
   let p =
-    Netsim.Packet.alloc ~flow:t.flow ~size:t.s ~src:(Netsim.Node.id t.node)
+    Netsim.Packet.make ~flow:t.flow ~size:t.s ~src:(Netsim.Node.id t.node)
       ~dst:(Netsim.Packet.Multicast t.session) ~created:now payload
   in
   t.seq <- t.seq + 1;

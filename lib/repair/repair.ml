@@ -120,7 +120,7 @@ module Receiver = struct
   let send_nak t ids =
     let now = Netsim.Engine.now t.engine in
     let p =
-      Netsim.Packet.alloc ~flow:(-1) ~size:nak_size ~src:t.node_id
+      Netsim.Packet.make ~flow:(-1) ~size:nak_size ~src:t.node_id
         ~dst:(Netsim.Packet.Unicast t.sender_id) ~created:now
         (Nak { session = t.session; rx_id = t.node_id; missing = ids })
     in

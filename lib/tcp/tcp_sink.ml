@@ -22,7 +22,7 @@ let advance t =
 let send_ack t ~to_node =
   let payload = Segment.Ack { conn = t.conn; ack = t.next_expected } in
   let p =
-    Netsim.Packet.alloc ~flow:t.ack_flow ~size:Segment.ack_size
+    Netsim.Packet.make ~flow:t.ack_flow ~size:Segment.ack_size
       ~src:(Netsim.Node.id t.node)
       ~dst:(Netsim.Packet.Unicast to_node)
       ~created:(Netsim.Engine.now t.engine)

@@ -66,7 +66,7 @@ and send_segment t seq =
   let emit () =
     let payload = Segment.Data { conn = t.conn; seq } in
     let p =
-      Netsim.Packet.alloc ~flow:t.flow ~size:t.segment_size
+      Netsim.Packet.make ~flow:t.flow ~size:t.segment_size
         ~src:(Netsim.Node.id t.src)
         ~dst:(Netsim.Packet.Unicast (Netsim.Node.id t.dst))
         ~created:(Netsim.Engine.now t.engine)

@@ -84,6 +84,53 @@ let test_matches_checked_in_goldens () =
           Alcotest.(check string) id expected actual)
     cheap
 
+(* A wide equal-delay star: 1000 receivers behind identical tails, so
+   every multicast fan-out lands as 1000 arrivals on one exact
+   timestamp.  Drop-tail loss only.  It runs 9 simsec: slow start sends
+   only 11 packets in the first 5, and by 9 the tail queues overflow.
+   The digest pins the engine's event count, the sender's
+   packets/reports/rate sampled every 0.1 simsec, and every receiver's
+   delivered count.  Each receiver draws from its own random stream, so
+   the order within a tie does not show here (the engine's dispatch
+   property in test_netsim.ml checks that); a lost, duplicated or
+   extra event at this width does. *)
+let wide_star_digest = "effbc8485ab84ad2"
+
+let test_wide_star_digest () =
+  let module Sc = Experiments.Scenario in
+  let n = 1000 and t_end = 9. in
+  let st =
+    Sc.star ~seed:7 ~obs:Obs.Sink.null ~link_bps:1e6
+      ~link_delays:(Array.make n 0.02) ()
+  in
+  Tfmcc_core.Session.start st.Sc.s_session ~at:0.;
+  let snd = Tfmcc_core.Session.sender st.Sc.s_session in
+  let d = Check.Digest.create () in
+  let line s =
+    Check.Digest.add_string d s;
+    Check.Digest.add_char d '\n'
+  in
+  Sc.sample_every st.Sc.s_sc ~dt:0.1 ~t_end (fun now ->
+      line
+        (Printf.sprintf "%.3f %d %d %.17g" now
+           (Tfmcc_core.Sender.packets_sent snd)
+           (Tfmcc_core.Sender.reports_received snd)
+           (Tfmcc_core.Sender.rate_bytes_per_s snd)));
+  Sc.run_until st.Sc.s_sc t_end;
+  line
+    (Printf.sprintf "events %d"
+       (Netsim.Engine.events_processed st.Sc.s_sc.Sc.engine));
+  Array.iter
+    (fun node ->
+      let rx =
+        Tfmcc_core.Session.receiver st.Sc.s_session
+          ~node_id:(Netsim.Node.id node)
+      in
+      line (string_of_int (Tfmcc_core.Receiver.packets_received rx)))
+    st.Sc.s_rx_nodes;
+  Alcotest.(check string) "wide star digest" wide_star_digest
+    (Check.Digest.to_hex d)
+
 let () =
   Alcotest.run "golden"
     [
@@ -98,5 +145,7 @@ let () =
             test_diff_classification;
           Alcotest.test_case "matches checked-in goldens" `Quick
             test_matches_checked_in_goldens;
+          Alcotest.test_case "wide equal-delay star" `Quick
+            test_wide_star_digest;
         ] );
     ]

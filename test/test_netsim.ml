@@ -620,6 +620,202 @@ let prop_heap_sorted =
       in
       drain neg_infinity)
 
+(* Engine dispatch against a reference model, on schedules where most
+   events share one of three timestamps.  A callback may schedule a
+   child at its own time, cancel one of the events sharing its
+   timestamp (picked by creation order, so it may be an earlier one
+   that already fired, itself, or a later sibling), stop the engine, or
+   raise.  The model fires the live event with the least (time, seq) —
+   seq being creation order — until none is due; after each [run]
+   returns or raises, the fired sequence, the clock, the processed
+   count and [pending_events] must match it, and the next [run]
+   resumes where it left off. *)
+type dispatch_act =
+  | Nop
+  | Spawn of dispatch_act
+  | Cancel_sibling of int
+  | Stop
+  | Raise
+
+exception Dispatch_boom
+
+let rec pp_dispatch_act = function
+  | Nop -> "Nop"
+  | Spawn a -> "Spawn(" ^ pp_dispatch_act a ^ ")"
+  | Cancel_sibling k -> Printf.sprintf "Cancel %d" k
+  | Stop -> "Stop"
+  | Raise -> "Raise"
+
+let dispatch_act_gen =
+  QCheck.Gen.(
+    fix
+      (fun self depth ->
+        frequency
+          ((if depth > 0 then [ (3, map (fun a -> Spawn a) (self (depth - 1))) ]
+            else [])
+          @ [
+              (4, return Nop);
+              (3, map (fun k -> Cancel_sibling k) (int_bound 20));
+              (1, return Stop);
+              (1, return Raise);
+            ]))
+      2)
+
+(* (initial events as (timestamp slot, action), optional [until] slot) *)
+let dispatch_arb =
+  QCheck.make
+    ~print:
+      QCheck.Print.(
+        pair
+          (list (pair int pp_dispatch_act))
+          (option int))
+    ~shrink:QCheck.Shrink.(pair list nil)
+    QCheck.Gen.(
+      pair
+        (list_size (int_range 1 40) (pair (int_bound 2) dispatch_act_gen))
+        (opt (int_bound 2)))
+
+let slot_time k = 0.5 *. float_of_int k
+
+(* Events in creation order, with the ids sharing each timestamp. *)
+type dispatch_reg = {
+  mutable count : int;
+  by_time : (float, int) Hashtbl.t;
+}
+
+let dispatch_reg () = { count = 0; by_time = Hashtbl.create 16 }
+
+let reg_add r time =
+  let id = r.count in
+  r.count <- r.count + 1;
+  Hashtbl.add r.by_time time id;
+  id
+
+(* The [k]-th (mod n) of the n events created at [time], in creation order. *)
+let reg_sibling r time k =
+  let sibs = List.rev (Hashtbl.find_all r.by_time time) in
+  List.nth sibs (k mod List.length sibs)
+
+type dispatch_outcome = Done | Stopped | Raised
+
+let show_outcome = function Done -> "done" | Stopped -> "stopped" | Raised -> "raised"
+
+let prop_engine_dispatch_model =
+  QCheck.Test.make ~name:"engine dispatch vs reference model (heavy ties)"
+    ~count:500 dispatch_arb (fun (sched, until) ->
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      (* ---- engine side *)
+      let e = Netsim.Engine.create () in
+      let reg = dispatch_reg () in
+      let handles = Hashtbl.create 64 in
+      let log = ref [] and stopped = ref false in
+      let rec schedule time act =
+        let id = reg_add reg time in
+        let h =
+          Netsim.Engine.at e ~time (fun () ->
+              log := id :: !log;
+              match act with
+              | Nop -> ()
+              | Spawn a -> schedule time a
+              | Cancel_sibling k ->
+                  Netsim.Engine.cancel e
+                    (Hashtbl.find handles (reg_sibling reg time k))
+              | Stop ->
+                  stopped := true;
+                  Netsim.Engine.stop e
+              | Raise -> raise Dispatch_boom)
+        in
+        Hashtbl.replace handles id h
+      in
+      (* ---- model side: (time, act, live) per id, in creation order *)
+      let mreg = dispatch_reg () in
+      let mevs = Hashtbl.create 64 in
+      let mnow = ref 0. and mfired = ref 0 in
+      let mschedule time act =
+        Hashtbl.replace mevs (reg_add mreg time) (time, act, ref true)
+      in
+      let model_live () =
+        Hashtbl.fold (fun _ (_, _, live) n -> if !live then n + 1 else n) mevs 0
+      in
+      let model_run limit =
+        let fired = ref [] in
+        let rec loop () =
+          let best =
+            Hashtbl.fold
+              (fun id (time, _, live) best ->
+                if (not !live) || time > limit then best
+                else
+                  match best with
+                  | Some (bt, bid) when bt < time || (bt = time && bid < id) ->
+                      best
+                  | _ -> Some (time, id))
+              mevs None
+          in
+          match best with
+          | None ->
+              if limit < infinity && !mnow < limit then mnow := limit;
+              Done
+          | Some (time, id) ->
+              let _, act, live = Hashtbl.find mevs id in
+              live := false;
+              mnow := time;
+              incr mfired;
+              fired := id :: !fired;
+              (match act with
+              | Nop -> loop ()
+              | Spawn a ->
+                  mschedule time a;
+                  loop ()
+              | Cancel_sibling k ->
+                  let _, _, l = Hashtbl.find mevs (reg_sibling mreg time k) in
+                  l := false;
+                  loop ()
+              | Stop -> Stopped
+              | Raise -> Raised)
+        in
+        let outcome = loop () in
+        (outcome, List.rev !fired)
+      in
+      List.iter
+        (fun (slot, act) ->
+          schedule (slot_time slot) act;
+          mschedule (slot_time slot) act)
+        sched;
+      let show ids = String.concat ";" (List.map string_of_int ids) in
+      let rec rounds i until =
+        log := [];
+        stopped := false;
+        let got =
+          match Netsim.Engine.run ?until e with
+          | () -> if !stopped then Stopped else Done
+          | exception Dispatch_boom -> Raised
+        in
+        let got_fired = List.rev !log in
+        let want, want_fired =
+          model_run (Option.value until ~default:infinity)
+        in
+        if got <> want || got_fired <> want_fired then
+          fail "run %d: %s [%s], model %s [%s]" i (show_outcome got)
+            (show got_fired) (show_outcome want) (show want_fired);
+        if Netsim.Engine.pending_events e <> model_live () then
+          fail "run %d: pending %d, model %d" i
+            (Netsim.Engine.pending_events e)
+            (model_live ());
+        if Netsim.Engine.events_processed e <> !mfired then
+          fail "run %d: processed %d, model %d" i
+            (Netsim.Engine.events_processed e)
+            !mfired;
+        if Netsim.Engine.now e <> !mnow then
+          fail "run %d: now %g, model %g" i (Netsim.Engine.now e) !mnow;
+        if not (Netsim.Engine.queue_consistent e) then
+          fail "run %d: queue inconsistent" i;
+        (* Runs without [until] after the first; a stop or a raise
+           consumes one event, so this terminates. *)
+        if got <> Done || until <> None then rounds (i + 1) None
+      in
+      rounds 0 (Option.map slot_time until);
+      true)
+
 let prop_droptail_never_exceeds =
   QCheck.Test.make ~name:"droptail length never exceeds capacity" ~count:100
     QCheck.(pair (int_range 1 20) (list_of_size Gen.(int_range 0 100) bool))
@@ -861,123 +1057,6 @@ let prop_random_graph_multicast_exactly_once =
       List.for_all (fun i -> counts.(i) = 1) members
       && Array.for_all (fun c -> c <= 1) counts)
 
-(* --------------------------------------------- Packet-pool lifecycle *)
-
-(* (flow, size, src, dst) for a random packet; size must be positive. *)
-let packet_fields =
-  QCheck.(quad (int_range 0 1000) (int_range 1 9000) small_nat (pair bool small_nat))
-
-let mk_dst (mc, n) =
-  if mc then Netsim.Packet.Multicast n else Netsim.Packet.Unicast n
-
-let prop_pool_recycle_no_stale =
-  QCheck.Test.make ~name:"recycled arena slot is fully re-initialized" ~count:200
-    QCheck.(pair packet_fields packet_fields)
-    (fun (fa, fb) ->
-      let pl = Netsim.Packet.Pool.domain () in
-      QCheck.assume (Netsim.Packet.Pool.free pl > 0);
-      let alloc (flow, size, src, d) tag =
-        Netsim.Packet.alloc ~flow ~size ~src ~dst:(mk_dst d)
-          ~created:(float_of_int tag) (Netsim.Packet.Raw tag)
-      in
-      let a = alloc fa 1 in
-      let uid_a = a.Netsim.Packet.uid in
-      Netsim.Packet.set_hops a 5;
-      Netsim.Packet.release a;
-      let b = alloc fb 2 in
-      let flow, size, src, d = fb in
-      let ok =
-        (* LIFO freelist: the released record itself is recycled... *)
-        b == a
-        (* ...and nothing of its previous life survives. *)
-        && b.Netsim.Packet.uid <> uid_a
-        && b.Netsim.Packet.flow = flow
-        && b.Netsim.Packet.size = size
-        && b.Netsim.Packet.src = src
-        && b.Netsim.Packet.dst = mk_dst d
-        && b.Netsim.Packet.created = 2.
-        && b.Netsim.Packet.hops = 0
-        && b.Netsim.Packet.payload = Netsim.Packet.Raw 2
-        && Netsim.Packet.is_live b
-      in
-      Netsim.Packet.release b;
-      ok)
-
-let prop_pool_exhaustion_falls_back =
-  QCheck.Test.make ~name:"arena exhaustion falls back to heap records" ~count:20
-    QCheck.(int_range 1 50)
-    (fun extra ->
-      let pl = Netsim.Packet.Pool.domain () in
-      let alloc tag =
-        Netsim.Packet.alloc ~flow:7 ~size:100 ~src:1
-          ~dst:(Netsim.Packet.Unicast 2) ~created:0. (Netsim.Packet.Raw tag)
-      in
-      let drained = ref [] in
-      Fun.protect
-        ~finally:(fun () -> List.iter Netsim.Packet.release !drained)
-        (fun () ->
-          while Netsim.Packet.Pool.free pl > 0 do
-            drained := alloc 0 :: !drained
-          done;
-          let before = Netsim.Packet.Pool.exhausted pl in
-          let fallbacks = List.init extra alloc in
-          let after = Netsim.Packet.Pool.exhausted pl in
-          after - before = extra
-          && List.for_all
-               (fun p ->
-                 (not p.Netsim.Packet.pooled)
-                 && Netsim.Packet.is_live p
-                 && p.Netsim.Packet.flow = 7
-                 &&
-                 (* release on a heap fallback is a no-op: the record
-                    stays live and never enters the arena *)
-                 (Netsim.Packet.release p;
-                  Netsim.Packet.is_live p && Netsim.Packet.Pool.free pl = 0))
-               fallbacks))
-
-let prop_pool_uaf_guard_fires =
-  QCheck.Test.make ~name:"guard trips on a released arena packet" ~count:100
-    packet_fields
-    (fun (flow, size, src, d) ->
-      let pl = Netsim.Packet.Pool.domain () in
-      QCheck.assume (Netsim.Packet.Pool.free pl > 0);
-      let p =
-        Netsim.Packet.alloc ~flow ~size ~src ~dst:(mk_dst d) ~created:0.
-          (Netsim.Packet.Raw 0)
-      in
-      Netsim.Packet.guard "live" p;
-      (* a live packet passes *)
-      Netsim.Packet.release p;
-      (not (Netsim.Packet.is_live p))
-      &&
-      match Netsim.Packet.guard "released" p with
-      | () -> false
-      | exception Netsim.Packet.Use_after_free _ -> true)
-
-let test_pool_debug_double_release () =
-  let pl = Netsim.Packet.Pool.domain () in
-  let was = Netsim.Packet.Pool.debug pl in
-  Fun.protect
-    ~finally:(fun () -> Netsim.Packet.Pool.set_debug pl was)
-    (fun () ->
-      Netsim.Packet.Pool.set_debug pl true;
-      let p =
-        Netsim.Packet.alloc ~flow:1 ~size:100 ~src:0
-          ~dst:(Netsim.Packet.Unicast 1) ~created:0. (Netsim.Packet.Raw 0)
-      in
-      Alcotest.(check bool) "drawn from the arena" true p.Netsim.Packet.pooled;
-      let uid = p.Netsim.Packet.uid in
-      Netsim.Packet.release p;
-      (* Debug mode poisons the scalars so a stale reader sees values no
-         real packet carries. *)
-      Alcotest.(check int) "size poisoned" min_int p.Netsim.Packet.size;
-      Alcotest.(check int) "flow poisoned" min_int p.Netsim.Packet.flow;
-      Alcotest.(check int) "hops poisoned" min_int p.Netsim.Packet.hops;
-      Alcotest.check_raises "double release raises"
-        (Netsim.Packet.Use_after_free
-           (Printf.sprintf "double release of packet #%d" uid))
-        (fun () -> Netsim.Packet.release p))
-
 let () =
   Alcotest.run "netsim"
     [
@@ -1056,18 +1135,10 @@ let () =
           Alcotest.test_case "random tree connected" `Quick test_topo_gen_random_tree_connected;
           Alcotest.test_case "transit-stub shape" `Quick test_topo_gen_transit_stub_shape;
         ] );
-      ( "pool",
-        Alcotest.test_case "debug poison + double release" `Quick
-          test_pool_debug_double_release
-        :: List.map QCheck_alcotest.to_alcotest
-             [
-               prop_pool_recycle_no_stale; prop_pool_exhaustion_falls_back;
-               prop_pool_uaf_guard_fires;
-             ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
-            prop_heap_sorted; prop_droptail_never_exceeds;
+            prop_heap_sorted; prop_engine_dispatch_model; prop_droptail_never_exceeds;
             prop_random_graph_all_reachable; prop_random_graph_unicast_delivery;
             prop_random_graph_multicast_exactly_once;
           ] );
